@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use glova_circuits::{Circuit, DramCoreSense, FloatingInverterAmp, StrongArmLatch};
-use glova_nn::{Activation, Adam, Mlp, MlpConfig};
+use glova_nn::{Activation, Adam, Gradients, Mlp, MlpConfig, Workspace};
 use glova_rl::EnsembleCritic;
 use glova_stats::rng::seeded;
 use glova_turbo::GaussianProcess;
@@ -52,12 +52,16 @@ fn bench_nn(c: &mut Criterion) {
     c.bench_function("mlp_forward_64x3", |b| b.iter(|| black_box(net.forward(&x))));
     let mut trainable = net.clone();
     let mut adam = Adam::new(1e-3);
-    c.bench_function("mlp_train_step_64x3", |b| {
+    let batch = vec![0.5; 14 * 10];
+    let mut ws = Workspace::new(&trainable, 10);
+    let mut grads = Gradients::zeros_like(&trainable);
+    c.bench_function("mlp_train_step_64x3_batch10", |b| {
         b.iter(|| {
-            let (out, cache) = trainable.forward_cached(&x);
-            let grad: Vec<f64> = out.iter().map(|o| 2.0 * o).collect();
-            let (g, _) = trainable.backward(&cache, &grad);
-            adam.step(&mut trainable, &g);
+            let grad: Vec<f64> =
+                trainable.forward_batch(&batch, &mut ws).iter().map(|o| 2.0 * o).collect();
+            grads.set_zero();
+            trainable.backward_batch(&batch, &mut ws, &grad, &mut grads);
+            adam.step(&mut trainable, &grads);
         })
     });
 }

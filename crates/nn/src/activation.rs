@@ -30,25 +30,24 @@ impl Activation {
         }
     }
 
-    /// Derivative with respect to the pre-activation, evaluated at
-    /// pre-activation `x`.
-    pub fn derivative(self, x: f64) -> f64 {
+    /// Derivative with respect to the pre-activation, written in terms of
+    /// the output `y = apply(x)`.
+    ///
+    /// Each branch is exactly the pre-activation formula with the output
+    /// substituted (`tanh(x)`, the sigmoid and `max(x, 0) > 0 ⇔ x > 0`
+    /// are computed by [`Activation::apply`] with the same operations), so
+    /// the backward pass needs only the activations, bit for bit.
+    pub fn derivative_from_output(self, y: f64) -> f64 {
         match self {
             Activation::Relu => {
-                if x > 0.0 {
+                if y > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
-            Activation::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
-            Activation::Sigmoid => {
-                let s = 1.0 / (1.0 + (-x).exp());
-                s * (1.0 - s)
-            }
+            Activation::Tanh => 1.0 - y * y,
+            Activation::Sigmoid => y * (1.0 - y),
             Activation::Identity => 1.0,
         }
     }
@@ -96,7 +95,7 @@ mod tests {
         for act in ALL {
             for &x in &[-2.0, -0.5, 0.3, 1.7] {
                 let numeric = (act.apply(x + eps) - act.apply(x - eps)) / (2.0 * eps);
-                let analytic = act.derivative(x);
+                let analytic = act.derivative_from_output(act.apply(x));
                 assert!(
                     (numeric - analytic).abs() < 1e-5,
                     "{act} at {x}: numeric {numeric} vs analytic {analytic}"
@@ -135,7 +134,7 @@ mod tests {
         fn prop_derivatives_nonnegative(x in -20.0f64..20.0) {
             // All four activations are monotone non-decreasing.
             for act in ALL {
-                prop_assert!(act.derivative(x) >= 0.0);
+                prop_assert!(act.derivative_from_output(act.apply(x)) >= 0.0);
             }
         }
     }

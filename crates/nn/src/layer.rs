@@ -1,9 +1,30 @@
-//! A fully connected layer with explicit forward/backward passes.
+//! A fully connected layer with batched forward/backward kernels.
+//!
+//! Both passes work on row-major `rows × width` blocks, one row per
+//! sample, so a minibatch goes through a layer in one call and a single
+//! sample is simply a block of one row. The kernels only re-block the
+//! per-sample loops; they never reorder a sum:
+//!
+//! - every pre-activation is one serial chain over the inputs in index
+//!   order, started at `-0.0` like `Iterator::sum::<f64>`, then `+ bias`;
+//! - the backward pass takes the activation derivative from the output
+//!   (see [`Activation::derivative_from_output`]), so only outputs are
+//!   kept;
+//! - every parameter gradient adds its per-sample terms in row order;
+//! - every input gradient adds its per-output terms in output order,
+//!   starting from `0.0`.
+//!
+//! A block of `b` rows is therefore bitwise equal to `b` one-row calls.
 
 use crate::init::Init;
 use crate::Activation;
 use glova_stats::normal::StandardNormal;
 use rand::Rng;
+
+/// Output units per forward register block.
+const OUT_BLOCK: usize = 4;
+/// Rows (samples) per forward register block.
+const ROW_BLOCK: usize = 2;
 
 /// A dense layer `y = act(W x + b)`.
 ///
@@ -16,15 +37,6 @@ pub struct Linear {
     fan_in: usize,
     fan_out: usize,
     activation: Activation,
-}
-
-/// Per-layer cache produced by [`Linear::forward_cached`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerCache {
-    /// The layer input.
-    pub input: Vec<f64>,
-    /// Pre-activation values `W x + b`.
-    pub pre_activation: Vec<f64>,
 }
 
 /// Parameter gradients for one layer, same shapes as the parameters.
@@ -40,6 +52,12 @@ impl LayerGradients {
     /// Zero gradients for a `fan_in → fan_out` layer.
     pub fn zeros(fan_in: usize, fan_out: usize) -> Self {
         Self { weights: vec![0.0; fan_in * fan_out], biases: vec![0.0; fan_out] }
+    }
+
+    /// Resets every entry to `0.0`, keeping the buffers.
+    pub(crate) fn set_zero(&mut self) {
+        self.weights.fill(0.0);
+        self.biases.fill(0.0);
     }
 
     /// In-place `self += other`.
@@ -111,58 +129,117 @@ impl Linear {
         (&mut self.weights, &mut self.biases)
     }
 
-    /// Forward pass without caching.
+    /// Forward pass over a row-major `rows × fan_in` block `x`: writes
+    /// the activations `act(W x + b)` to `out`, row-major `rows × fan_out`.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != fan_in`.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.fan_in, "layer input width mismatch");
-        let mut out = Vec::with_capacity(self.fan_out);
-        for o in 0..self.fan_out {
-            let row = &self.weights[o * self.fan_in..(o + 1) * self.fan_in];
-            let z: f64 = row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f64>() + self.biases[o];
-            out.push(self.activation.apply(z));
+    /// Panics if `x` is not a whole number of rows or `out` has the wrong
+    /// size.
+    pub fn forward(&self, x: &[f64], out: &mut [f64]) {
+        let rows = self.rows_of(x);
+        assert_eq!(out.len(), rows * self.fan_out, "layer output size mismatch");
+        let mut o = 0;
+        while o + OUT_BLOCK <= self.fan_out {
+            self.forward_outputs::<OUT_BLOCK>(o, x, out);
+            o += OUT_BLOCK;
         }
-        out
+        for o in o..self.fan_out {
+            self.forward_outputs::<1>(o, x, out);
+        }
     }
 
-    /// Forward pass that records the cache needed by [`Linear::backward`].
-    pub fn forward_cached(&self, x: &[f64]) -> (Vec<f64>, LayerCache) {
-        assert_eq!(x.len(), self.fan_in, "layer input width mismatch");
-        let mut pre = Vec::with_capacity(self.fan_out);
-        for o in 0..self.fan_out {
-            let row = &self.weights[o * self.fan_in..(o + 1) * self.fan_in];
-            pre.push(row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f64>() + self.biases[o]);
+    /// Activations of outputs `o0 .. o0 + NO` for every row of `x`.
+    fn forward_outputs<const NO: usize>(&self, o0: usize, x: &[f64], out: &mut [f64]) {
+        let n = self.fan_in;
+        let w: [&[f64]; NO] =
+            std::array::from_fn(|k| &self.weights[(o0 + k) * n..(o0 + k + 1) * n]);
+        let rows = x.len() / n;
+        let mut s = 0;
+        while s + ROW_BLOCK <= rows {
+            let xs: [&[f64]; ROW_BLOCK] = std::array::from_fn(|j| &x[(s + j) * n..(s + j + 1) * n]);
+            self.store(o0, s, dot_block(&w, &xs), out);
+            s += ROW_BLOCK;
         }
-        let out = pre.iter().map(|&z| self.activation.apply(z)).collect();
-        (out, LayerCache { input: x.to_vec(), pre_activation: pre })
+        for s in s..rows {
+            self.store(o0, s, dot_block(&w, &[&x[s * n..(s + 1) * n]]), out);
+        }
     }
 
-    /// Backward pass.
-    ///
-    /// `grad_output` is `∂L/∂y` (post-activation); returns the parameter
-    /// gradients and `∂L/∂x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_output.len() != fan_out`.
-    pub fn backward(&self, cache: &LayerCache, grad_output: &[f64]) -> (LayerGradients, Vec<f64>) {
-        assert_eq!(grad_output.len(), self.fan_out, "grad width mismatch");
-        let mut grads = LayerGradients::zeros(self.fan_in, self.fan_out);
-        let mut grad_input = vec![0.0; self.fan_in];
-        for o in 0..self.fan_out {
-            // δ = ∂L/∂z = ∂L/∂y · act'(z)
-            let delta = grad_output[o] * self.activation.derivative(cache.pre_activation[o]);
-            grads.biases[o] = delta;
-            let w_row = &self.weights[o * self.fan_in..(o + 1) * self.fan_in];
-            let g_row = &mut grads.weights[o * self.fan_in..(o + 1) * self.fan_in];
-            for i in 0..self.fan_in {
-                g_row[i] = delta * cache.input[i];
-                grad_input[i] += delta * w_row[i];
+    /// Writes `act(z[k][j] + b[o0 + k])` to row `s0 + j`, output `o0 + k`.
+    fn store<const NO: usize, const NS: usize>(
+        &self,
+        o0: usize,
+        s0: usize,
+        z: [[f64; NS]; NO],
+        out: &mut [f64],
+    ) {
+        for (k, zk) in z.iter().enumerate() {
+            for (j, &zkj) in zk.iter().enumerate() {
+                out[(s0 + j) * self.fan_out + o0 + k] =
+                    self.activation.apply(zkj + self.biases[o0 + k]);
             }
         }
-        (grads, grad_input)
+    }
+
+    /// Backward pass over the block of the last [`Linear::forward`].
+    ///
+    /// `x` and `y` are that call's input and output. `delta` holds
+    /// `∂L/∂y` (row-major `rows × fan_out`) on entry and `∂L/∂z` on
+    /// return. When `grads` is given, each row's `∂L/∂W`, `∂L/∂b` are
+    /// added into it in row order. When `grad_input` is given, it receives
+    /// `∂L/∂x` (row-major `rows × fan_in`). Skipping either skips its work.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the blocks' sizes disagree with each other or with the
+    /// layer.
+    pub fn backward(
+        &self,
+        x: &[f64],
+        y: &[f64],
+        delta: &mut [f64],
+        grads: Option<&mut LayerGradients>,
+        grad_input: Option<&mut [f64]>,
+    ) {
+        let (n_in, n_out) = (self.fan_in, self.fan_out);
+        let rows = self.rows_of(x);
+        assert_eq!(y.len(), rows * n_out, "layer output size mismatch");
+        assert_eq!(delta.len(), rows * n_out, "grad width mismatch");
+        // δ = ∂L/∂z = ∂L/∂y · act'(z)
+        for (d, &y) in delta.iter_mut().zip(y) {
+            *d *= self.activation.derivative_from_output(y);
+        }
+        if let Some(grads) = grads {
+            assert_eq!(grads.weights.len(), self.weights.len(), "gradient shape mismatch");
+            for (xs, ds) in x.chunks_exact(n_in).zip(delta.chunks_exact(n_out)) {
+                for (gb, d) in grads.biases.iter_mut().zip(ds) {
+                    *gb += d;
+                }
+                for (g_row, &d) in grads.weights.chunks_exact_mut(n_in).zip(ds) {
+                    for (g, xi) in g_row.iter_mut().zip(xs) {
+                        *g += d * xi;
+                    }
+                }
+            }
+        }
+        if let Some(grad_input) = grad_input {
+            assert_eq!(grad_input.len(), rows * n_in, "layer input width mismatch");
+            grad_input.fill(0.0);
+            for (gs, ds) in grad_input.chunks_exact_mut(n_in).zip(delta.chunks_exact(n_out)) {
+                for (w_row, &d) in self.weights.chunks_exact(n_in).zip(ds) {
+                    for (g, w) in gs.iter_mut().zip(w_row) {
+                        *g += d * w;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rows in the input block `x`.
+    fn rows_of(&self, x: &[f64]) -> usize {
+        assert_eq!(x.len() % self.fan_in, 0, "layer input width mismatch");
+        x.len() / self.fan_in
     }
 
     /// Applies `params -= lr * grads` (plain SGD step, used by optimizers).
@@ -181,6 +258,29 @@ impl Linear {
     }
 }
 
+/// `z[k][j] = Σ_i w[k][i] · x[j][i]` for a register block of `NO` weight
+/// rows and `NS` input rows. Each of the `NO × NS` sums is its own serial
+/// chain in index order, started at `-0.0`: the independent chains hide
+/// the add latency without reassociating any sum.
+#[inline(always)]
+fn dot_block<const NO: usize, const NS: usize>(
+    w: &[&[f64]; NO],
+    x: &[&[f64]; NS],
+) -> [[f64; NS]; NO] {
+    let n = w[0].len();
+    let w: [&[f64]; NO] = w.map(|r| &r[..n]);
+    let x: [&[f64]; NS] = x.map(|r| &r[..n]);
+    let mut acc = [[-0.0; NS]; NO];
+    for i in 0..n {
+        for k in 0..NO {
+            for j in 0..NS {
+                acc[k][j] += w[k][i] * x[j][i];
+            }
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,12 +291,28 @@ mod tests {
         Linear::new(3, 2, Activation::Tanh, &mut rng)
     }
 
+    fn forward(layer: &Linear, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; x.len() / layer.fan_in() * layer.fan_out()];
+        layer.forward(x, &mut out);
+        out
+    }
+
+    fn sum_of_outputs(layer: &Linear, x: &[f64]) -> f64 {
+        forward(layer, x).iter().sum()
+    }
+
     #[test]
-    fn forward_matches_cached_forward() {
+    fn forward_matches_scalar_formula() {
         let layer = tiny_layer();
         let x = [0.1, -0.2, 0.3];
-        let (cached_out, _) = layer.forward_cached(&x);
-        assert_eq!(layer.forward(&x), cached_out);
+        let (w, b) = layer.params();
+        let expect: Vec<f64> = (0..2)
+            .map(|o| {
+                let z: f64 = w[o * 3..o * 3 + 3].iter().zip(&x).map(|(w, x)| w * x).sum::<f64>();
+                (z + b[o]).tanh()
+            })
+            .collect();
+        assert_eq!(forward(&layer, &x), expect);
     }
 
     #[test]
@@ -208,7 +324,7 @@ mod tests {
             w.copy_from_slice(&[1.0, 0.0, 0.0, 1.0]);
             b.copy_from_slice(&[0.5, -0.5]);
         }
-        assert_eq!(layer.forward(&[1.0, 2.0]), vec![1.5, 1.5]);
+        assert_eq!(forward(&layer, &[1.0, 2.0]), vec![1.5, 1.5]);
     }
 
     #[test]
@@ -218,8 +334,11 @@ mod tests {
         let eps = 1e-6;
 
         // Loss: sum of outputs (grad_output = ones).
-        let (_, cache) = layer.forward_cached(&x);
-        let (grads, grad_in) = layer.backward(&cache, &[1.0, 1.0]);
+        let y = forward(&layer, &x);
+        let mut delta = vec![1.0, 1.0];
+        let mut grads = LayerGradients::zeros(3, 2);
+        let mut grad_in = vec![0.0; 3];
+        layer.backward(&x, &y, &mut delta, Some(&mut grads), Some(&mut grad_in));
 
         // Check input gradient by finite differences.
         for i in 0..3 {
@@ -227,9 +346,7 @@ mod tests {
             let mut xm = x;
             xp[i] += eps;
             xm[i] -= eps;
-            let fp: f64 = layer.forward(&xp).iter().sum();
-            let fm: f64 = layer.forward(&xm).iter().sum();
-            let numeric = (fp - fm) / (2.0 * eps);
+            let numeric = (sum_of_outputs(&layer, &xp) - sum_of_outputs(&layer, &xm)) / (2.0 * eps);
             assert!(
                 (numeric - grad_in[i]).abs() < 1e-5,
                 "input grad {i}: numeric {numeric} vs {got}",
@@ -243,9 +360,7 @@ mod tests {
             let mut lm = layer.clone();
             lp.params_mut().0[idx] += eps;
             lm.params_mut().0[idx] -= eps;
-            let fp: f64 = lp.forward(&x).iter().sum();
-            let fm: f64 = lm.forward(&x).iter().sum();
-            let numeric = (fp - fm) / (2.0 * eps);
+            let numeric = (sum_of_outputs(&lp, &x) - sum_of_outputs(&lm, &x)) / (2.0 * eps);
             assert!(
                 (numeric - grads.weights[idx]).abs() < 1e-5,
                 "weight grad {idx}: numeric {numeric} vs {got}",
@@ -259,11 +374,30 @@ mod tests {
             let mut lm = layer.clone();
             lp.params_mut().1[idx] += eps;
             lm.params_mut().1[idx] -= eps;
-            let fp: f64 = lp.forward(&x).iter().sum();
-            let fm: f64 = lm.forward(&x).iter().sum();
-            let numeric = (fp - fm) / (2.0 * eps);
+            let numeric = (sum_of_outputs(&lp, &x) - sum_of_outputs(&lm, &x)) / (2.0 * eps);
             assert!((numeric - grads.biases[idx]).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn skipped_gradients_leave_the_others_unchanged() {
+        let mut rng = seeded(3);
+        let layer = Linear::new(5, 3, Activation::Relu, &mut rng);
+        let x: Vec<f64> = (0..15).map(|i| (i as f64 * 0.31).sin()).collect();
+        let y = forward(&layer, &x);
+        let grad_out: Vec<f64> = (0..9).map(|i| (i as f64 * 0.7).cos()).collect();
+
+        let mut both = LayerGradients::zeros(5, 3);
+        let mut both_in = vec![0.0; 15];
+        layer.backward(&x, &y, &mut grad_out.clone(), Some(&mut both), Some(&mut both_in));
+
+        let mut params_only = LayerGradients::zeros(5, 3);
+        layer.backward(&x, &y, &mut grad_out.clone(), Some(&mut params_only), None);
+        let mut input_only = vec![0.0; 15];
+        layer.backward(&x, &y, &mut grad_out.clone(), None, Some(&mut input_only));
+
+        assert_eq!(both, params_only);
+        assert_eq!(both_in, input_only);
     }
 
     #[test]
@@ -275,6 +409,8 @@ mod tests {
         a.scale(0.5);
         assert_eq!(a.weights, vec![1.0, 2.0]);
         assert_eq!(a.biases, vec![3.0]);
+        a.set_zero();
+        assert_eq!(a, LayerGradients::zeros(2, 1));
     }
 
     #[test]
@@ -283,15 +419,17 @@ mod tests {
         let x = [0.5, 0.5, -0.5];
         let target = 0.3;
         let loss = |l: &Linear| {
-            let y: f64 = l.forward(&x).iter().sum();
+            let y = sum_of_outputs(l, &x);
             (y - target) * (y - target)
         };
         let before = loss(&layer);
+        let mut grads = LayerGradients::zeros(3, 2);
         for _ in 0..50 {
-            let (out, cache) = layer.forward_cached(&x);
+            let out = forward(&layer, &x);
             let y: f64 = out.iter().sum();
-            let grad_out = vec![2.0 * (y - target); 2];
-            let (grads, _) = layer.backward(&cache, &grad_out);
+            let mut delta = vec![2.0 * (y - target); 2];
+            grads.set_zero();
+            layer.backward(&x, &out, &mut delta, Some(&mut grads), None);
             layer.apply_gradients(&grads, 0.05);
         }
         assert!(loss(&layer) < before * 0.1, "did not descend: {before} -> {}", loss(&layer));
@@ -300,6 +438,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "input width mismatch")]
     fn wrong_input_width_panics() {
-        tiny_layer().forward(&[1.0]);
+        forward(&tiny_layer(), &[1.0]);
     }
 }

@@ -7,8 +7,9 @@
 //!
 //! 1. The **actor update** differentiates *through the critic*: the loss
 //!    `MSE(0.2, Q(A(x)))` needs `∂Q/∂input` at the critic's input, chained
-//!    into the actor's parameter gradients. [`Mlp::backward`] therefore
-//!    returns the input gradient alongside parameter gradients.
+//!    into the actor's parameter gradients. Besides
+//!    [`Mlp::backward_batch`] (parameter gradients) the crate therefore
+//!    offers [`Mlp::input_gradient_batch`] (input gradient only).
 //! 2. The **risk-sensitive aggregation** `Q = E[Q_i] + β₁σ[Q_i]` (paper
 //!    Eq. 6) must be differentiated exactly across the ensemble; that
 //!    backward pass lives in `glova-rl`, but it relies on the per-model
@@ -18,21 +19,31 @@
 //! implemented from scratch and validated against central finite differences
 //! in this crate's tests.
 //!
+//! Training is minibatched: [`Linear`] has one forward and one backward
+//! kernel over row-major `rows × width` blocks, and [`Mlp`] runs whole
+//! layers on a reusable [`Workspace`], so forward and backward passes
+//! allocate nothing. The kernels never reorder a sum, so a batch of `b`
+//! rows is bitwise equal to `b` one-row passes (`Mlp::forward` and
+//! `Mlp::input_gradient` are exactly such one-row passes).
+//!
 //! # Example
 //!
 //! ```
-//! use glova_nn::{Activation, Adam, Mlp, MlpConfig};
+//! use glova_nn::{Activation, Adam, Gradients, Mlp, MlpConfig, Workspace};
 //!
 //! let mut rng = glova_stats::rng::seeded(0);
 //! // Learn y = 2x on [0, 1].
 //! let mut net = Mlp::new(&MlpConfig::new(1, &[8, 8], 1, Activation::Tanh), &mut rng);
 //! let mut adam = Adam::new(1e-2);
+//! let mut ws = Workspace::new(&net, 1);
+//! let mut grads = Gradients::zeros_like(&net);
 //! for step in 0..400 {
 //!     let x = [(step % 10) as f64 / 10.0];
 //!     let target = [2.0 * x[0]];
-//!     let (out, cache) = net.forward_cached(&x);
+//!     let out = net.forward_batch(&x, &mut ws);
 //!     let grad_out: Vec<f64> = out.iter().zip(&target).map(|(o, t)| 2.0 * (o - t)).collect();
-//!     let (grads, _) = net.backward(&cache, &grad_out);
+//!     grads.set_zero();
+//!     net.backward_batch(&x, &mut ws, &grad_out, &mut grads);
 //!     adam.step(&mut net, &grads);
 //! }
 //! let pred = net.forward(&[0.35]);
@@ -49,5 +60,5 @@ pub mod optimizer;
 pub use activation::Activation;
 pub use layer::Linear;
 pub use loss::{mse, mse_gradient};
-pub use mlp::{Gradients, Mlp, MlpCache, MlpConfig};
+pub use mlp::{Gradients, Mlp, MlpConfig, Workspace};
 pub use optimizer::{Adam, Sgd};

@@ -1,6 +1,6 @@
 //! Multi-layer perceptrons composed of [`Linear`] layers.
 
-use crate::layer::{LayerCache, LayerGradients};
+use crate::layer::LayerGradients;
 use crate::{Activation, Linear};
 use rand::Rng;
 
@@ -84,10 +84,64 @@ pub struct Mlp {
     layers: Vec<Linear>,
 }
 
-/// Caches from a full forward pass, one entry per layer.
+/// Reusable buffers for batched passes through one [`Mlp`] architecture.
+///
+/// Holds each layer's activations for a batch of rows, plus two gradient
+/// buffers the backward pass alternates between. A pass over more rows
+/// than the buffers hold grows them once; after that, passes allocate
+/// nothing.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MlpCache {
-    caches: Vec<LayerCache>,
+pub struct Workspace {
+    /// `(fan_in, fan_out)` per layer, to check the network matches.
+    shapes: Vec<(usize, usize)>,
+    capacity: usize,
+    /// Rows of the last forward pass.
+    rows: usize,
+    act: Vec<Vec<f64>>,
+    /// `∂L/∂(layer output)` for alternate layers; the input gradient ends
+    /// in `grad[layers % 2]`.
+    grad: [Vec<f64>; 2],
+}
+
+impl Workspace {
+    /// Buffers for `net`, sized for `capacity` rows.
+    pub fn new(net: &Mlp, capacity: usize) -> Self {
+        let shapes: Vec<(usize, usize)> =
+            net.layers.iter().map(|l| (l.fan_in(), l.fan_out())).collect();
+        let mut ws = Self {
+            act: vec![Vec::new(); shapes.len()],
+            grad: [Vec::new(), Vec::new()],
+            shapes,
+            capacity: 0,
+            rows: 0,
+        };
+        ws.reserve(capacity);
+        ws
+    }
+
+    /// Grows the buffers to hold `rows` rows (never shrinks).
+    fn reserve(&mut self, rows: usize) {
+        if rows <= self.capacity {
+            return;
+        }
+        let mut widest = 0;
+        for (act, &(fan_in, fan_out)) in self.act.iter_mut().zip(&self.shapes) {
+            act.resize(rows * fan_out, 0.0);
+            widest = widest.max(fan_in).max(fan_out);
+        }
+        for grad in &mut self.grad {
+            grad.resize(rows * widest, 0.0);
+        }
+        self.capacity = rows;
+    }
+
+    fn check(&self, net: &Mlp) {
+        let shapes = net.layers.iter().map(|l| (l.fan_in(), l.fan_out()));
+        assert!(
+            self.shapes.iter().copied().eq(shapes),
+            "workspace built for a different architecture"
+        );
+    }
 }
 
 /// Parameter gradients for an entire [`Mlp`].
@@ -105,6 +159,13 @@ impl Gradients {
                 .iter()
                 .map(|l| LayerGradients::zeros(l.fan_in(), l.fan_out()))
                 .collect(),
+        }
+    }
+
+    /// Resets every entry to `0.0`, keeping the buffers.
+    pub fn set_zero(&mut self) {
+        for l in &mut self.layers {
+            l.set_zero();
         }
     }
 
@@ -198,55 +259,118 @@ impl Mlp {
         self.layers.iter().map(|l| l.fan_in() * l.fan_out() + l.fan_out()).sum()
     }
 
-    /// Forward pass.
+    /// Forward pass for one input: a batch of one through
+    /// [`Mlp::forward_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != input_dim()`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut h = x.to_vec();
-        for layer in &self.layers {
-            h = layer.forward(&h);
-        }
-        h
+        assert_eq!(x.len(), self.input_dim(), "layer input width mismatch");
+        self.forward_batch(x, &mut Workspace::new(self, 1)).to_vec()
     }
 
-    /// Forward pass recording per-layer caches for [`Mlp::backward`].
-    pub fn forward_cached(&self, x: &[f64]) -> (Vec<f64>, MlpCache) {
-        let mut h = x.to_vec();
-        let mut caches = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let (out, cache) = layer.forward_cached(&h);
-            caches.push(cache);
-            h = out;
+    /// Forward pass over a row-major `rows × input_dim` block; returns the
+    /// `rows × output_dim` outputs and keeps every layer's activations in
+    /// `ws` for a following backward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not a whole number of rows or `ws` was built for
+    /// another architecture.
+    pub fn forward_batch<'w>(&self, x: &[f64], ws: &'w mut Workspace) -> &'w [f64] {
+        ws.check(self);
+        assert_eq!(x.len() % self.input_dim(), 0, "layer input width mismatch");
+        let rows = x.len() / self.input_dim();
+        ws.reserve(rows);
+        ws.rows = rows;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = ws.act.split_at_mut(l);
+            let input = if l == 0 { x } else { &done[l - 1][..rows * layer.fan_in()] };
+            layer.forward(input, &mut rest[0][..rows * layer.fan_out()]);
         }
-        (h, MlpCache { caches })
+        let last = self.layers.len() - 1;
+        &ws.act[last][..rows * self.output_dim()]
     }
 
-    /// Backward pass from `∂L/∂output`; returns parameter gradients and
-    /// `∂L/∂input`.
+    /// Backward pass for the last [`Mlp::forward_batch`] through `ws`
+    /// over input `x`: adds each row's parameter gradients of the loss
+    /// with `∂L/∂output = grad_output` into `grads`, in row order.
+    ///
+    /// Accumulating a batch of `b` rows is bitwise equal to accumulating
+    /// `b` one-row passes in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `grad_output` do not match the forward pass.
+    pub fn backward_batch(
+        &self,
+        x: &[f64],
+        ws: &mut Workspace,
+        grad_output: &[f64],
+        grads: &mut Gradients,
+    ) {
+        assert_eq!(grads.layers.len(), self.layers.len(), "gradient layer count mismatch");
+        self.backward_layers(x, ws, grad_output, Some(grads), false);
+    }
+
+    /// Gradient `∂L/∂input` (row-major `rows × input_dim`) for the last
+    /// [`Mlp::forward_batch`] through `ws` over input `x`, given
+    /// `∂L/∂output = grad_output`. Parameter gradients are not formed.
     ///
     /// The input gradient is what lets the DDPG-style actor update chain
     /// through the critic (see crate docs).
-    pub fn backward(&self, cache: &MlpCache, grad_output: &[f64]) -> (Gradients, Vec<f64>) {
-        assert_eq!(cache.caches.len(), self.layers.len(), "cache/layer count mismatch");
-        let mut grad = grad_output.to_vec();
-        let mut layer_grads: Vec<LayerGradients> = Vec::with_capacity(self.layers.len());
-        for (layer, layer_cache) in self.layers.iter().zip(&cache.caches).rev() {
-            let (g, g_in) = layer.backward(layer_cache, &grad);
-            layer_grads.push(g);
-            grad = g_in;
-        }
-        layer_grads.reverse();
-        (Gradients { layers: layer_grads }, grad)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `grad_output` do not match the forward pass.
+    pub fn input_gradient_batch<'w>(
+        &self,
+        x: &[f64],
+        ws: &'w mut Workspace,
+        grad_output: &[f64],
+    ) -> &'w [f64] {
+        self.backward_layers(x, ws, grad_output, None, true);
+        &ws.grad[self.layers.len() % 2][..ws.rows * self.input_dim()]
     }
 
-    /// Gradient of a scalar-output network with respect to its input.
+    fn backward_layers(
+        &self,
+        x: &[f64],
+        ws: &mut Workspace,
+        grad_output: &[f64],
+        mut grads: Option<&mut Gradients>,
+        want_input_gradient: bool,
+    ) {
+        ws.check(self);
+        let rows = ws.rows;
+        assert_eq!(x.len(), rows * self.input_dim(), "input does not match the forward pass");
+        assert_eq!(grad_output.len(), rows * self.output_dim(), "grad width mismatch");
+        let [even, odd] = &mut ws.grad;
+        let (mut delta, mut below) = (even, odd);
+        delta[..grad_output.len()].copy_from_slice(grad_output);
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            let (n_in, n_out) = (rows * layer.fan_in(), rows * layer.fan_out());
+            let input = if l == 0 { x } else { &ws.act[l - 1][..n_in] };
+            let grad_input = (l > 0 || want_input_gradient).then(|| &mut below[..n_in]);
+            let layer_grads = grads.as_deref_mut().map(|g| &mut g.layers[l]);
+            let y = &ws.act[l][..n_out];
+            layer.backward(input, y, &mut delta[..n_out], layer_grads, grad_input);
+            std::mem::swap(&mut delta, &mut below);
+        }
+    }
+
+    /// Gradient of a scalar-output network with respect to its input: a
+    /// batch of one through [`Mlp::input_gradient_batch`].
     ///
     /// # Panics
     ///
     /// Panics if the network output is not 1-dimensional.
     pub fn input_gradient(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(self.output_dim(), 1, "input_gradient requires a scalar head");
-        let (_, cache) = self.forward_cached(x);
-        let (_, grad_in) = self.backward(&cache, &[1.0]);
-        grad_in
+        let mut ws = Workspace::new(self, 1);
+        self.forward_batch(x, &mut ws);
+        self.input_gradient_batch(x, &mut ws, &[1.0]).to_vec()
     }
 
     /// Plain SGD parameter update (optimizers provide fancier rules).
@@ -289,6 +413,17 @@ mod tests {
         Mlp::new(&MlpConfig::new(3, &[5, 4], 2, Activation::Tanh), &mut rng)
     }
 
+    /// `(outputs, parameter gradients, input gradients)` of one batched
+    /// pass over the rows of `x` with `∂L/∂output = grad_out`.
+    fn batch_pass(net: &Mlp, x: &[f64], grad_out: &[f64]) -> (Vec<f64>, Gradients, Vec<f64>) {
+        let mut ws = Workspace::new(net, 0);
+        let out = net.forward_batch(x, &mut ws).to_vec();
+        let mut grads = Gradients::zeros_like(net);
+        net.backward_batch(x, &mut ws, grad_out, &mut grads);
+        let grad_in = net.input_gradient_batch(x, &mut ws, grad_out).to_vec();
+        (out, grads, grad_in)
+    }
+
     #[test]
     fn shapes() {
         let net = tiny_net(1);
@@ -299,11 +434,11 @@ mod tests {
     }
 
     #[test]
-    fn forward_and_cached_agree() {
+    fn forward_is_a_batch_of_one() {
         let net = tiny_net(2);
         let x = [0.2, -0.1, 0.7];
-        let (out, _) = net.forward_cached(&x);
-        assert_eq!(net.forward(&x), out);
+        let mut ws = Workspace::new(&net, 1);
+        assert_eq!(net.forward(&x), net.forward_batch(&x, &mut ws));
     }
 
     #[test]
@@ -320,9 +455,9 @@ mod tests {
             y.iter().zip(&target).map(|(o, t)| (o - t) * (o - t)).sum()
         };
 
-        let (out, cache) = net.forward_cached(&x);
+        let out = net.forward(&x);
         let grad_out: Vec<f64> = out.iter().zip(&target).map(|(o, t)| 2.0 * (o - t)).collect();
-        let (grads, grad_in) = net.backward(&cache, &grad_out);
+        let (_, grads, grad_in) = batch_pass(&net, &x, &grad_out);
 
         // Input gradient.
         for i in 0..3 {
@@ -373,6 +508,43 @@ mod tests {
     }
 
     #[test]
+    fn batch_gradient_is_the_sum_of_row_gradients() {
+        // Loss Σ_rows L_row: the batched parameter gradient is the sum of the
+        // rows' finite-difference gradients, and each row's input gradient
+        // is its own.
+        let net = tiny_net(4);
+        let x = [0.3, -0.5, 0.9, -0.2, 0.1, 0.4, 0.8, 0.6, -0.7];
+        let loss_of = |n: &Mlp| -> f64 {
+            x.chunks(3).map(|row| n.forward(row).iter().map(|y| y * y).sum::<f64>()).sum()
+        };
+        let mut ws = Workspace::new(&net, 3);
+        let grad_out: Vec<f64> = net.forward_batch(&x, &mut ws).iter().map(|y| 2.0 * y).collect();
+        let (_, grads, grad_in) = batch_pass(&net, &x, &grad_out);
+        let eps = 1e-6;
+        for li in 0..net.layers().len() {
+            for wi in [0, net.layers()[li].fan_in()] {
+                let mut np = net.clone();
+                let mut nm = net.clone();
+                np.layers_mut()[li].params_mut().0[wi] += eps;
+                nm.layers_mut()[li].params_mut().0[wi] -= eps;
+                let numeric = (loss_of(&np) - loss_of(&nm)) / (2.0 * eps);
+                let analytic = grads.layers()[li].weights[wi];
+                assert!((numeric - analytic).abs() < 1e-4, "layer {li} weight {wi}");
+            }
+        }
+        for (row, g_row) in x.chunks(3).zip(grad_in.chunks(3)) {
+            for i in 0..3 {
+                let (mut xp, mut xm) = (row.to_vec(), row.to_vec());
+                xp[i] += eps;
+                xm[i] -= eps;
+                let sq = |v: &[f64]| net.forward(v).iter().map(|y| y * y).sum::<f64>();
+                let numeric = (sq(&xp) - sq(&xm)) / (2.0 * eps);
+                assert!((numeric - g_row[i]).abs() < 1e-4, "input grad {i}");
+            }
+        }
+    }
+
+    #[test]
     fn input_gradient_scalar_head() {
         let mut rng = seeded(5);
         let net = Mlp::new(&MlpConfig::new(2, &[6], 1, Activation::Tanh), &mut rng);
@@ -396,6 +568,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "different architecture")]
+    fn workspace_must_match_the_network() {
+        let mut rng = seeded(6);
+        let other = Mlp::new(&MlpConfig::new(3, &[4], 2, Activation::Tanh), &mut rng);
+        tiny_net(1).forward_batch(&[0.0; 3], &mut Workspace::new(&other, 1));
+    }
+
+    #[test]
+    fn workspace_grows_to_the_largest_batch() {
+        let net = tiny_net(7);
+        let x: Vec<f64> = (0..15).map(|i| i as f64 / 15.0).collect();
+        let mut ws = Workspace::new(&net, 2);
+        let five = net.forward_batch(&x, &mut ws).to_vec();
+        assert_eq!(net.forward_batch(&x[..6], &mut ws), &five[..4]);
+        assert_eq!(five[8..], net.forward(&x[12..]));
+    }
+
+    #[test]
     fn soft_update_converges_to_source() {
         let mut a = tiny_net(6);
         let b = tiny_net(7);
@@ -414,9 +604,7 @@ mod tests {
     fn gradient_clipping_reduces_norm() {
         let net = tiny_net(8);
         let x = [1.0, 1.0, 1.0];
-        let (out, cache) = net.forward_cached(&x);
-        let grad_out = vec![1e3; out.len()];
-        let (mut grads, _) = net.backward(&cache, &grad_out);
+        let (_, mut grads, _) = batch_pass(&net, &x, &[1e3; 2]);
         grads.clip_global_norm(1.0);
         assert!(grads.global_norm() <= 1.0 + 1e-9);
     }
@@ -450,11 +638,49 @@ mod tests {
             seed in 0u64..16,
         ) {
             let net = tiny_net(seed);
-            let (out, cache) = net.forward_cached(&x);
-            let grad_out = vec![1.0; out.len()];
-            let (grads, grad_in) = net.backward(&cache, &grad_out);
+            let (_, grads, grad_in) = batch_pass(&net, &x, &[1.0; 2]);
             prop_assert!(grad_in.iter().all(|v| v.is_finite()));
             prop_assert!(grads.global_norm().is_finite());
         }
+
+        // A `rows`-row batch is bitwise equal to `rows` batch-of-one passes
+        // accumulated in row order: outputs, parameter gradients and input
+        // gradients. Widths 5 and 3 and odd row counts exercise every
+        // remainder path of the register-blocked kernel.
+        #[test]
+        fn prop_batch_equals_rows_one_by_one(
+            rows in 1usize..12,
+            values in proptest::collection::vec(-3.0f64..3.0, 12 * 6),
+            seed in 0u64..64,
+            relu in 0u64..2,
+        ) {
+            let hidden = if relu == 1 { Activation::Relu } else { Activation::Tanh };
+            let mut rng = seeded(seed);
+            let net = Mlp::new(
+                &MlpConfig::new(4, &[5, 3], 2, hidden).with_output_activation(Activation::Sigmoid),
+                &mut rng,
+            );
+            let x = &values[..rows * 4];
+            let grad_out = &values[rows * 4..rows * 6];
+            let (out, grads, grad_in) = batch_pass(&net, x, grad_out);
+
+            let mut ws = Workspace::new(&net, 1);
+            let mut row_grads = Gradients::zeros_like(&net);
+            for (s, (xs, gs)) in x.chunks(4).zip(grad_out.chunks(2)).enumerate() {
+                let y = net.forward_batch(xs, &mut ws).to_vec();
+                prop_assert_eq!(bits(&y), bits(&out[s * 2..s * 2 + 2]));
+                net.backward_batch(xs, &mut ws, gs, &mut row_grads);
+                let gi = net.input_gradient_batch(xs, &mut ws, gs);
+                prop_assert_eq!(bits(gi), bits(&grad_in[s * 4..s * 4 + 4]));
+            }
+            for (a, b) in grads.layers().iter().zip(row_grads.layers()) {
+                prop_assert_eq!(bits(&a.weights), bits(&b.weights));
+                prop_assert_eq!(bits(&a.biases), bits(&b.biases));
+            }
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 }

@@ -50,8 +50,7 @@ impl Sgd {
         let velocity = self.velocity.get_or_insert_with(|| Gradients::zeros_like(net));
         velocity.scale(self.momentum);
         velocity.accumulate(grads);
-        let v = velocity.clone();
-        net.apply_gradients(&v, self.lr);
+        net.apply_gradients(velocity, self.lr);
     }
 }
 
@@ -110,29 +109,23 @@ impl Adam {
 
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let update = |p: &mut [f64], m: &mut [f64], v: &mut [f64], g: &[f64]| {
+            assert_eq!(p.len(), g.len(), "gradient shape mismatch");
+            for (((p, m), v), &g) in p.iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(g) {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *p -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+        };
 
-        for (layer_idx, layer) in net.layers_mut().iter_mut().enumerate() {
-            let g = &grads.layers()[layer_idx];
-            let lm = &mut m.layers_mut()[layer_idx];
-            let lv = &mut v.layers_mut()[layer_idx];
+        let layers = net.layers_mut().iter_mut().zip(grads.layers());
+        for ((layer, g), (lm, lv)) in layers.zip(m.layers_mut().iter_mut().zip(v.layers_mut())) {
             let (w, b) = layer.params_mut();
-
-            for i in 0..w.len() {
-                lm.weights[i] = self.beta1 * lm.weights[i] + (1.0 - self.beta1) * g.weights[i];
-                lv.weights[i] =
-                    self.beta2 * lv.weights[i] + (1.0 - self.beta2) * g.weights[i] * g.weights[i];
-                let m_hat = lm.weights[i] / bc1;
-                let v_hat = lv.weights[i] / bc2;
-                w[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-            for i in 0..b.len() {
-                lm.biases[i] = self.beta1 * lm.biases[i] + (1.0 - self.beta1) * g.biases[i];
-                lv.biases[i] =
-                    self.beta2 * lv.biases[i] + (1.0 - self.beta2) * g.biases[i] * g.biases[i];
-                let m_hat = lm.biases[i] / bc1;
-                let v_hat = lv.biases[i] / bc2;
-                b[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
+            update(w, &mut lm.weights, &mut lv.weights, &g.weights);
+            update(b, &mut lm.biases, &mut lv.biases, &g.biases);
         }
     }
 }
@@ -140,7 +133,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Activation, Mlp, MlpConfig};
+    use crate::{Activation, Mlp, MlpConfig, Workspace};
     use glova_stats::rng::seeded;
 
     fn regression_task() -> (Vec<[f64; 1]>, Vec<[f64; 1]>) {
@@ -154,13 +147,13 @@ mod tests {
         let mut rng = seeded(77);
         let mut net = Mlp::new(&MlpConfig::new(1, &[16, 16], 1, Activation::Tanh), &mut rng);
         let (xs, ys) = regression_task();
+        let mut ws = Workspace::new(&net, 1);
         for _ in 0..300 {
             let mut total = Gradients::zeros_like(&net);
             for (x, y) in xs.iter().zip(&ys) {
-                let (out, cache) = net.forward_cached(x);
-                let grad_out = crate::mse_gradient(&out, y);
-                let (g, _) = net.backward(&cache, &grad_out);
-                total.accumulate(&g);
+                let out = net.forward_batch(x, &mut ws);
+                let grad_out = crate::mse_gradient(out, y);
+                net.backward_batch(x, &mut ws, &grad_out, &mut total);
             }
             total.scale(1.0 / xs.len() as f64);
             optimize(&mut net, &total);
@@ -197,11 +190,14 @@ mod tests {
         let target = [3.0];
         let initial = crate::mse(&net.forward(&x), &target);
         let mut last = initial;
+        let mut ws = Workspace::new(&net, 1);
+        let mut g = Gradients::zeros_like(&net);
         for _ in 0..500 {
-            let (out, cache) = net.forward_cached(&x);
-            last = crate::mse(&out, &target);
-            let grad_out = crate::mse_gradient(&out, &target);
-            let (g, _) = net.backward(&cache, &grad_out);
+            let out = net.forward_batch(&x, &mut ws);
+            last = crate::mse(out, &target);
+            let grad_out = crate::mse_gradient(out, &target);
+            g.set_zero();
+            net.backward_batch(&x, &mut ws, &grad_out, &mut g);
             adam.step(&mut net, &g);
         }
         assert!(last < 1e-3, "adam did not converge: {initial} -> {last}");

@@ -3,7 +3,7 @@
 use crate::critic::EnsembleCritic;
 use crate::noise::GaussianNoise;
 use crate::replay::WorstCaseReplayBuffer;
-use glova_nn::{Activation, Adam, Gradients, Mlp, MlpConfig};
+use glova_nn::{Activation, Adam, Gradients, Mlp, MlpConfig, Workspace};
 use rand::Rng;
 
 /// Reward target for the actor loss `MSE(0.2, Q(A(x̂)))` (paper Eq. 4).
@@ -102,6 +102,42 @@ pub struct RiskSensitiveAgent {
     buffer: WorstCaseReplayBuffer,
     noise: GaussianNoise,
     proximal_target: Option<Vec<f64>>,
+    scratch: ActorScratch,
+}
+
+/// Reusable buffers for the actor's batched passes, sized for one
+/// minibatch of [`AgentConfig::batch_size`] rows.
+#[derive(Debug, Clone)]
+struct ActorScratch {
+    workspace: Workspace,
+    grads: Gradients,
+    /// Replayed observations, row-major `rows × obs_dim`.
+    obs: Vec<f64>,
+    /// Proposed actions with each row's goal suffix, `rows × obs_dim`.
+    critic_in: Vec<f64>,
+    /// `∂L/∂action`, row-major `rows × dim`.
+    grad_out: Vec<f64>,
+}
+
+impl ActorScratch {
+    fn new(actor: &Mlp, config: &AgentConfig) -> Self {
+        let rows = config.batch_size;
+        Self {
+            workspace: Workspace::new(actor, rows),
+            grads: Gradients::zeros_like(actor),
+            obs: Vec::with_capacity(rows * config.obs_dim()),
+            critic_in: Vec::with_capacity(rows * config.obs_dim()),
+            grad_out: Vec::with_capacity(rows * config.dim),
+        }
+    }
+
+    /// Copies the replayed observations into one row-major block.
+    fn gather(&mut self, batch: &[(&[f64], f64)]) {
+        self.obs.clear();
+        for (x, _) in batch {
+            self.obs.extend_from_slice(x);
+        }
+    }
 }
 
 impl RiskSensitiveAgent {
@@ -115,7 +151,7 @@ impl RiskSensitiveAgent {
             MlpConfig::new(config.obs_dim(), &config.hidden, config.dim, Activation::Relu)
                 .with_output_activation(Activation::Sigmoid);
         let actor = Mlp::new(&actor_cfg, rng);
-        let critic = EnsembleCritic::new(
+        let mut critic = EnsembleCritic::new(
             config.obs_dim(),
             config.ensemble_size,
             &config.hidden,
@@ -124,7 +160,9 @@ impl RiskSensitiveAgent {
             config.bias,
             rng,
         );
+        critic.reserve_rows(config.batch_size);
         Self {
+            scratch: ActorScratch::new(&actor, &config),
             actor,
             actor_opt: Adam::new(config.actor_lr),
             critic,
@@ -209,33 +247,41 @@ impl RiskSensitiveAgent {
             self.critic.train_batches(&batches);
 
             // Actor: minimize MSE(0.2, Q(A(x̂))) (Algorithm 1) plus the
-            // proximal cloning term toward the incumbent.
+            // proximal cloning term toward the incumbent. Parameters are
+            // fixed within the update, so the whole minibatch goes through
+            // the actor and the critic ensemble at once.
             let batch = self.buffer.sample(self.config.batch_size, rng);
-            let mut total = Gradients::zeros_like(&self.actor);
-            for (x, _) in &batch {
-                let (action, cache) = self.actor.forward_cached(x);
-                // The critic scores the proposed action under the same goal
-                // as the replayed observation; the goal suffix is a constant
-                // input, so only the action components of ∂Q/∂input flow
-                // back through the actor.
-                let critic_in: Vec<f64> =
-                    action.iter().chain(x[self.config.dim..].iter()).copied().collect();
-                let q = self.critic.predict(&critic_in);
-                let dq_da = self.critic.input_gradient(&critic_in);
+            let (dim, obs_dim) = (self.config.dim, self.config.obs_dim());
+            let s = &mut self.scratch;
+            s.gather(&batch);
+            let actions = self.actor.forward_batch(&s.obs, &mut s.workspace);
+            // The critic scores the proposed action under the same goal
+            // as the replayed observation; the goal suffix is a constant
+            // input, so only the action components of ∂Q/∂input flow
+            // back through the actor.
+            s.critic_in.clear();
+            for (action, (x, _)) in actions.chunks_exact(dim).zip(&batch) {
+                s.critic_in.extend_from_slice(action);
+                s.critic_in.extend_from_slice(&x[dim..]);
+            }
+            let (q, dq_dx) = self.critic.q_and_input_gradient(&s.critic_in);
+            s.grad_out.clear();
+            let rows = q.iter().zip(dq_dx.chunks_exact(obs_dim)).zip(actions.chunks_exact(dim));
+            for ((&q, dq_dx), action) in rows {
                 let dl_dq =
                     self.config.ddpg_weight * 2.0 * (q - SATISFIED_REWARD) / batch.len() as f64;
-                let mut grad_out: Vec<f64> =
-                    dq_da[..self.config.dim].iter().map(|g| dl_dq * g).collect();
+                let row = s.grad_out.len();
+                s.grad_out.extend(dq_dx[..dim].iter().map(|g| dl_dq * g));
                 if let Some(target) = &self.proximal_target {
-                    for ((g, a), t) in grad_out.iter_mut().zip(&action).zip(target) {
+                    for ((g, a), t) in s.grad_out[row..].iter_mut().zip(action).zip(target) {
                         *g += self.config.proximal_weight * 2.0 * (a - t) / batch.len() as f64;
                     }
                 }
-                let (g, _) = self.actor.backward(&cache, &grad_out);
-                total.accumulate(&g);
             }
-            total.clip_global_norm(5.0);
-            self.actor_opt.step(&mut self.actor, &total);
+            s.grads.set_zero();
+            self.actor.backward_batch(&s.obs, &mut s.workspace, &s.grad_out, &mut s.grads);
+            s.grads.clip_global_norm(5.0);
+            self.actor_opt.step(&mut self.actor, &s.grads);
         }
         self.noise.step();
     }
@@ -267,19 +313,19 @@ impl RiskSensitiveAgent {
         }
         for _ in 0..steps {
             let batch = self.buffer.sample(self.config.batch_size, rng);
-            let mut total = Gradients::zeros_like(&self.actor);
-            for (x, _) in &batch {
-                let (action, cache) = self.actor.forward_cached(x);
-                let grad_out: Vec<f64> = action
-                    .iter()
-                    .zip(target)
-                    .map(|(a, t)| 2.0 * (a - t) / batch.len() as f64)
-                    .collect();
-                let (g, _) = self.actor.backward(&cache, &grad_out);
-                total.accumulate(&g);
+            let s = &mut self.scratch;
+            s.gather(&batch);
+            let actions = self.actor.forward_batch(&s.obs, &mut s.workspace);
+            s.grad_out.clear();
+            for action in actions.chunks_exact(self.config.dim) {
+                let grad =
+                    action.iter().zip(target).map(|(a, t)| 2.0 * (a - t) / batch.len() as f64);
+                s.grad_out.extend(grad);
             }
-            total.clip_global_norm(5.0);
-            self.actor_opt.step(&mut self.actor, &total);
+            s.grads.set_zero();
+            self.actor.backward_batch(&s.obs, &mut s.workspace, &s.grad_out, &mut s.grads);
+            s.grads.clip_global_norm(5.0);
+            self.actor_opt.step(&mut self.actor, &s.grads);
         }
     }
 }

@@ -12,7 +12,8 @@
 //! Each base model trains on its own independently drawn batch, so the
 //! ensemble retains diversity ("randomness and varying initialization").
 
-use glova_nn::{Activation, Adam, Gradients, Mlp, MlpConfig};
+use glova_nn::{Activation, Adam, Gradients, Mlp, MlpConfig, Workspace};
+use glova_stats::descriptive::RunningStats;
 use rand::Rng;
 
 /// Ensemble critic with the risk-sensitive aggregation of Eq. 6.
@@ -22,6 +23,85 @@ pub struct EnsembleCritic {
     optimizers: Vec<Adam>,
     beta1: f64,
     bias: f64,
+    scratch: Scratch,
+}
+
+/// Reusable buffers for the critic's batched passes.
+#[derive(Debug, Clone)]
+struct Scratch {
+    /// One workspace per base model: the fused pass keeps every base's
+    /// activations alive until its input-gradient backward.
+    workspaces: Vec<Workspace>,
+    grads: Gradients,
+    inputs: Vec<f64>,
+    grad_out: Vec<f64>,
+    /// Base predictions, row-major `rows × ensemble_size`.
+    preds: Vec<f64>,
+    /// `∂Q/∂Q_i`, row-major `ensemble_size × rows`.
+    weights: Vec<f64>,
+    q: Vec<f64>,
+    grad: Vec<f64>,
+}
+
+impl Scratch {
+    /// Buffers sized for batches of `rows` rows.
+    fn new(bases: &[Mlp], rows: usize) -> Self {
+        let input_dim = bases[0].input_dim();
+        Self {
+            workspaces: bases.iter().map(|b| Workspace::new(b, rows)).collect(),
+            grads: Gradients::zeros_like(&bases[0]),
+            inputs: Vec::with_capacity(rows * input_dim),
+            grad_out: Vec::with_capacity(rows),
+            preds: Vec::with_capacity(rows * bases.len()),
+            weights: Vec::with_capacity(rows * bases.len()),
+            q: Vec::with_capacity(rows),
+            grad: Vec::with_capacity(rows * input_dim),
+        }
+    }
+
+    /// `Q` and `∂Q/∂x` for every row of `x`: one forward and one
+    /// input-gradient backward per base model.
+    fn q_and_input_gradient(&mut self, bases: &[Mlp], beta1: f64, bias: f64, x: &[f64]) {
+        let n_bases = bases.len();
+        let input_dim = bases[0].input_dim();
+        assert_eq!(x.len() % input_dim, 0, "critic input width mismatch");
+        let rows = x.len() / input_dim;
+
+        self.preds.resize(rows * n_bases, 0.0);
+        for (i, (base, ws)) in bases.iter().zip(&mut self.workspaces).enumerate() {
+            for (s, out) in base.forward_batch(x, ws).iter().enumerate() {
+                self.preds[s * n_bases + i] = out + bias;
+            }
+        }
+
+        // Per row: Q as `predict` forms it, then ∂Q/∂Q_i = 1/n + β₁(Q_i − µ)/(nσ).
+        let n = n_bases as f64;
+        self.q.clear();
+        self.weights.resize(n_bases * rows, 0.0);
+        for (s, preds) in self.preds.chunks_exact(n_bases).enumerate() {
+            let stats: RunningStats = preds.iter().copied().collect();
+            self.q.push(stats.mean() + beta1 * stats.std_dev());
+            let mean = preds.iter().sum::<f64>() / n;
+            let var = preds.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / n;
+            let std = var.sqrt();
+            for (i, &pred) in preds.iter().enumerate() {
+                let mut weight = 1.0 / n;
+                if std > 1e-12 {
+                    weight += beta1 * (pred - mean) / (n * std);
+                }
+                self.weights[i * rows + s] = weight;
+            }
+        }
+
+        self.grad.clear();
+        self.grad.resize(x.len(), 0.0);
+        for (i, (base, ws)) in bases.iter().zip(&mut self.workspaces).enumerate() {
+            let g_in = base.input_gradient_batch(x, ws, &self.weights[i * rows..(i + 1) * rows]);
+            for (g, gi) in self.grad.iter_mut().zip(g_in) {
+                *g += gi;
+            }
+        }
+    }
 }
 
 impl EnsembleCritic {
@@ -48,7 +128,14 @@ impl EnsembleCritic {
         let config = MlpConfig::new(input_dim, hidden, 1, Activation::Relu);
         let bases: Vec<Mlp> = (0..ensemble_size).map(|_| Mlp::new(&config, rng)).collect();
         let optimizers = (0..ensemble_size).map(|_| Adam::new(learning_rate)).collect();
-        Self { bases, optimizers, beta1, bias }
+        let scratch = Scratch::new(&bases, 1);
+        Self { bases, optimizers, beta1, bias, scratch }
+    }
+
+    /// Sizes the reusable buffers for batches of `rows` rows, so batched
+    /// passes of that size allocate nothing.
+    pub(crate) fn reserve_rows(&mut self, rows: usize) {
+        self.scratch = Scratch::new(&self.bases, rows);
     }
 
     /// Number of base models.
@@ -69,7 +156,7 @@ impl EnsembleCritic {
     /// Ensemble mean and (population) standard deviation at `x`.
     pub fn predict_detail(&self, x: &[f64]) -> (f64, f64) {
         let preds = self.base_predictions(x);
-        let stats: glova_stats::descriptive::RunningStats = preds.into_iter().collect();
+        let stats: RunningStats = preds.into_iter().collect();
         (stats.mean(), stats.std_dev())
     }
 
@@ -79,59 +166,66 @@ impl EnsembleCritic {
         mean + self.beta1 * std
     }
 
-    /// Exact gradient `∂Q/∂x` of the risk-sensitive aggregate.
+    /// Exact gradient `∂Q/∂x` of the risk-sensitive aggregate: a batch of
+    /// one through [`EnsembleCritic::q_and_input_gradient`].
+    pub fn input_gradient(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.bases[0].input_dim(), "critic input width mismatch");
+        let mut scratch = Scratch::new(&self.bases, 1);
+        scratch.q_and_input_gradient(&self.bases, self.beta1, self.bias, x);
+        scratch.grad
+    }
+
+    /// `Q` and the exact gradient `∂Q/∂x` at every row of a row-major
+    /// `rows × input_dim` block, in one fused pass: each base model runs
+    /// one forward and one input-gradient backward over the whole block.
     ///
     /// With `µ = Σ Q_i/n` and `σ = √(Σ(Q_i−µ)²/n)`:
     /// `∂Q/∂Q_i = 1/n + β₁(Q_i − µ)/(nσ)`, then chained through each base
     /// model's input gradient. The σ-term is dropped when σ ≈ 0
-    /// (subgradient at the non-differentiable point).
-    pub fn input_gradient(&self, x: &[f64]) -> Vec<f64> {
-        let n = self.bases.len() as f64;
-        let preds = self.base_predictions(x);
-        let mean = preds.iter().sum::<f64>() / n;
-        let var = preds.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / n;
-        let std = var.sqrt();
-
-        let mut grad = vec![0.0; x.len()];
-        for (base, &pred) in self.bases.iter().zip(&preds) {
-            let mut weight = 1.0 / n;
-            if std > 1e-12 {
-                weight += self.beta1 * (pred - mean) / (n * std);
-            }
-            let (_, cache) = base.forward_cached(x);
-            let (_, g_in) = base.backward(&cache, &[weight]);
-            for (g, gi) in grad.iter_mut().zip(&g_in) {
-                *g += gi;
-            }
-        }
-        grad
+    /// (subgradient at the non-differentiable point). `Q` is bitwise what
+    /// [`EnsembleCritic::predict`] returns for the row.
+    ///
+    /// Returns `(q, grad)`: `rows` values and a `rows × input_dim` block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not a whole number of rows.
+    pub fn q_and_input_gradient(&mut self, x: &[f64]) -> (&[f64], &[f64]) {
+        self.scratch.q_and_input_gradient(&self.bases, self.beta1, self.bias, x);
+        (&self.scratch.q, &self.scratch.grad)
     }
 
     /// One training step: base model `i` regresses its own batch
     /// `(x̂, r̂)` with the loss `MSE(r̂, Q_i(x̂) + bias)` (Algorithm 1).
     ///
     /// `batches` must contain one batch per base model; empty batches are
-    /// skipped.
+    /// skipped. Each batch runs as one batched forward and backward pass.
     ///
     /// # Panics
     ///
     /// Panics if `batches.len() != ensemble_size()`.
     pub fn train_batches(&mut self, batches: &[Vec<(&[f64], f64)>]) {
         assert_eq!(batches.len(), self.bases.len(), "need one batch per base model");
-        for ((base, opt), batch) in self.bases.iter_mut().zip(&mut self.optimizers).zip(batches) {
+        let s = &mut self.scratch;
+        let bases = self.bases.iter_mut().zip(&mut self.optimizers).zip(&mut s.workspaces);
+        for (((base, opt), ws), batch) in bases.zip(batches) {
             if batch.is_empty() {
                 continue;
             }
-            let mut total = Gradients::zeros_like(base);
-            for (x, r) in batch {
-                let (out, cache) = base.forward_cached(x);
-                let pred = out[0] + self.bias;
-                let grad_out = vec![2.0 * (pred - r) / batch.len() as f64];
-                let (g, _) = base.backward(&cache, &grad_out);
-                total.accumulate(&g);
+            s.inputs.clear();
+            for (x, _) in batch {
+                s.inputs.extend_from_slice(x);
             }
-            total.clip_global_norm(10.0);
-            opt.step(base, &total);
+            let out = base.forward_batch(&s.inputs, ws);
+            s.grad_out.clear();
+            for (o, (_, r)) in out.iter().zip(batch) {
+                let pred = o + self.bias;
+                s.grad_out.push(2.0 * (pred - r) / batch.len() as f64);
+            }
+            s.grads.set_zero();
+            base.backward_batch(&s.inputs, ws, &s.grad_out, &mut s.grads);
+            s.grads.clip_global_norm(10.0);
+            opt.step(base, &s.grads);
         }
     }
 }
@@ -216,6 +310,31 @@ mod tests {
                 "dim {d}: numeric {numeric} vs analytic {}",
                 grad[d]
             );
+        }
+    }
+
+    #[test]
+    fn fused_pass_matches_predict_and_finite_differences() {
+        // Three rows in one fused pass: each row's Q is bitwise `predict`,
+        // its gradient bitwise the batch-of-one `input_gradient`, and both
+        // match central finite differences.
+        let mut critic = small_critic(8, 5, -3.0);
+        let xs = [0.4, 0.6, 0.1, 0.9, 0.7, 0.2];
+        let (q, grad) = critic.q_and_input_gradient(&xs);
+        let (q, grad) = (q.to_vec(), grad.to_vec());
+        let eps = 1e-6;
+        for (s, row) in xs.chunks(2).enumerate() {
+            assert_eq!(q[s].to_bits(), critic.predict(row).to_bits());
+            let one = critic.input_gradient(row);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&one), bits(&grad[s * 2..s * 2 + 2]));
+            for d in 0..2 {
+                let (mut xp, mut xm) = (row.to_vec(), row.to_vec());
+                xp[d] += eps;
+                xm[d] -= eps;
+                let numeric = (critic.predict(&xp) - critic.predict(&xm)) / (2.0 * eps);
+                assert!((numeric - one[d]).abs() < 1e-4, "row {s} dim {d}");
+            }
         }
     }
 

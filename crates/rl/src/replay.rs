@@ -11,7 +11,6 @@ use rand::Rng;
 pub struct WorstCaseReplayBuffer {
     designs: Vec<Vec<f64>>,
     rewards: Vec<f64>,
-    capacity: Option<usize>,
 }
 
 impl WorstCaseReplayBuffer {
@@ -20,26 +19,10 @@ impl WorstCaseReplayBuffer {
         Self::default()
     }
 
-    /// Creates a buffer that keeps only the most recent `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn with_capacity_limit(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        Self { designs: Vec::new(), rewards: Vec::new(), capacity: Some(capacity) }
-    }
-
     /// Stores one `(design, worst reward)` pair.
     pub fn push(&mut self, design: Vec<f64>, worst_reward: f64) {
         self.designs.push(design);
         self.rewards.push(worst_reward);
-        if let Some(cap) = self.capacity {
-            if self.designs.len() > cap {
-                self.designs.remove(0);
-                self.rewards.remove(0);
-            }
-        }
     }
 
     /// Number of stored pairs.
@@ -171,18 +154,6 @@ mod tests {
         let mut rng = seeded(2);
         assert!(buf.sample(5, &mut rng).is_empty());
         assert!(buf.best().is_none());
-    }
-
-    #[test]
-    fn capacity_evicts_oldest() {
-        let mut buf = WorstCaseReplayBuffer::with_capacity_limit(2);
-        buf.push(vec![1.0], 1.0);
-        buf.push(vec![2.0], 2.0);
-        buf.push(vec![3.0], 3.0);
-        assert_eq!(buf.len(), 2);
-        let mut rng = seeded(3);
-        let batch = buf.sample(20, &mut rng);
-        assert!(batch.iter().all(|(x, _)| x[0] >= 2.0), "old entry not evicted");
     }
 
     #[test]
