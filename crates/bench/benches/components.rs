@@ -6,6 +6,7 @@ use glova_circuits::{Circuit, DramCoreSense, FloatingInverterAmp, StrongArmLatch
 use glova_nn::{Activation, Adam, Gradients, Mlp, MlpConfig, Workspace};
 use glova_rl::EnsembleCritic;
 use glova_stats::rng::seeded;
+use glova_stats::StandardNormal;
 use glova_turbo::GaussianProcess;
 use glova_variation::corner::PvtCorner;
 use glova_variation::sampler::{MismatchSampler, MismatchVector, VarianceLayers};
@@ -86,6 +87,21 @@ fn bench_gp(c: &mut Criterion) {
     });
     let gp = GaussianProcess::fit_auto(&xs, &ys, &mut rng);
     c.bench_function("gp_predict", |b| b.iter(|| black_box(gp.predict(&[0.4, 0.6]))));
+
+    // One TuRBO ask's candidate scoring at the SAL size: 1400 candidates
+    // against an 84-point, 14-dimensional surrogate.
+    let dim = 14;
+    let spread = |i: usize| (i * 37 % 97) as f64 / 96.0;
+    let xs: Vec<Vec<f64>> =
+        (0..84).map(|i| (0..dim).map(|d| spread(i * dim + d)).collect()).collect();
+    let ys: Vec<f64> = xs.iter().map(|x| x.iter().map(|v| (3.0 * v).sin()).sum()).collect();
+    let gp = GaussianProcess::fit_auto(&xs, &ys, &mut rng);
+    let queries: Vec<f64> = (0..1400 * dim).map(|i| spread(i + 5)).collect();
+    let normal = StandardNormal::new();
+    let z: Vec<f64> = (0..1400).map(|_| normal.sample(&mut rng)).collect();
+    c.bench_function("gp_thompson_1400x84", |b| {
+        b.iter(|| black_box(gp.thompson_values(&queries, &z)))
+    });
 }
 
 criterion_group!(

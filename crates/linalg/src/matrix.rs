@@ -104,6 +104,12 @@ impl Matrix {
         self.data.copy_from_slice(&other.data);
     }
 
+    /// The row-major entries, for in-crate kernels that need several
+    /// rows borrowed at once.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Matrix–vector product `A x`.
     ///
     /// # Panics

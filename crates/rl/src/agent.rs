@@ -105,14 +105,18 @@ pub struct RiskSensitiveAgent {
     scratch: ActorScratch,
 }
 
-/// Reusable buffers for the actor's batched passes, sized for one
-/// minibatch of [`AgentConfig::batch_size`] rows.
+/// Reusable buffers for the replayed minibatches and the actor's batched
+/// passes, sized for [`AgentConfig::batch_size`] rows per minibatch.
 #[derive(Debug, Clone)]
 struct ActorScratch {
     workspace: Workspace,
     grads: Gradients,
     /// Replayed observations, row-major `rows × obs_dim`.
     obs: Vec<f64>,
+    /// The critic's replayed batches, one per base model back to back:
+    /// observations row-major, and their worst-case rewards.
+    critic_obs: Vec<f64>,
+    critic_rewards: Vec<f64>,
     /// Proposed actions with each row's goal suffix, `rows × obs_dim`.
     critic_in: Vec<f64>,
     /// `∂L/∂action`, row-major `rows × dim`.
@@ -122,21 +126,27 @@ struct ActorScratch {
 impl ActorScratch {
     fn new(actor: &Mlp, config: &AgentConfig) -> Self {
         let rows = config.batch_size;
+        let critic_rows = rows * config.ensemble_size;
         Self {
             workspace: Workspace::new(actor, rows),
             grads: Gradients::zeros_like(actor),
             obs: Vec::with_capacity(rows * config.obs_dim()),
+            critic_obs: Vec::with_capacity(critic_rows * config.obs_dim()),
+            critic_rewards: Vec::with_capacity(critic_rows),
             critic_in: Vec::with_capacity(rows * config.obs_dim()),
             grad_out: Vec::with_capacity(rows * config.dim),
         }
     }
 
-    /// Copies the replayed observations into one row-major block.
-    fn gather(&mut self, batch: &[(&[f64], f64)]) {
+    /// Replays `rows` observations into one row-major block.
+    fn replay<R: Rng + ?Sized>(
+        &mut self,
+        buffer: &WorstCaseReplayBuffer,
+        rows: usize,
+        rng: &mut R,
+    ) {
         self.obs.clear();
-        for (x, _) in batch {
-            self.obs.extend_from_slice(x);
-        }
+        buffer.sample_each(rows, rng, |x, _| self.obs.extend_from_slice(x));
     }
 }
 
@@ -239,28 +249,33 @@ impl RiskSensitiveAgent {
         if self.buffer.is_empty() {
             return;
         }
+        let (dim, obs_dim) = (self.config.dim, self.config.obs_dim());
+        let batch_size = self.config.batch_size;
         for _ in 0..self.config.updates_per_step {
             // Critic: one independent batch per base model.
-            let batches: Vec<Vec<(&[f64], f64)>> = (0..self.critic.ensemble_size())
-                .map(|_| self.buffer.sample(self.config.batch_size, rng))
-                .collect();
-            self.critic.train_batches(&batches);
+            let s = &mut self.scratch;
+            s.critic_obs.clear();
+            s.critic_rewards.clear();
+            for _ in 0..self.critic.ensemble_size() {
+                self.buffer.sample_each(batch_size, rng, |x, r| {
+                    s.critic_obs.extend_from_slice(x);
+                    s.critic_rewards.push(r);
+                });
+            }
+            self.critic.train_batches(&s.critic_obs, &s.critic_rewards);
 
             // Actor: minimize MSE(0.2, Q(A(x̂))) (Algorithm 1) plus the
             // proximal cloning term toward the incumbent. Parameters are
             // fixed within the update, so the whole minibatch goes through
             // the actor and the critic ensemble at once.
-            let batch = self.buffer.sample(self.config.batch_size, rng);
-            let (dim, obs_dim) = (self.config.dim, self.config.obs_dim());
-            let s = &mut self.scratch;
-            s.gather(&batch);
+            s.replay(&self.buffer, batch_size, rng);
             let actions = self.actor.forward_batch(&s.obs, &mut s.workspace);
             // The critic scores the proposed action under the same goal
             // as the replayed observation; the goal suffix is a constant
             // input, so only the action components of ∂Q/∂input flow
             // back through the actor.
             s.critic_in.clear();
-            for (action, (x, _)) in actions.chunks_exact(dim).zip(&batch) {
+            for (action, x) in actions.chunks_exact(dim).zip(s.obs.chunks_exact(obs_dim)) {
                 s.critic_in.extend_from_slice(action);
                 s.critic_in.extend_from_slice(&x[dim..]);
             }
@@ -269,12 +284,12 @@ impl RiskSensitiveAgent {
             let rows = q.iter().zip(dq_dx.chunks_exact(obs_dim)).zip(actions.chunks_exact(dim));
             for ((&q, dq_dx), action) in rows {
                 let dl_dq =
-                    self.config.ddpg_weight * 2.0 * (q - SATISFIED_REWARD) / batch.len() as f64;
+                    self.config.ddpg_weight * 2.0 * (q - SATISFIED_REWARD) / batch_size as f64;
                 let row = s.grad_out.len();
                 s.grad_out.extend(dq_dx[..dim].iter().map(|g| dl_dq * g));
                 if let Some(target) = &self.proximal_target {
                     for ((g, a), t) in s.grad_out[row..].iter_mut().zip(action).zip(target) {
-                        *g += self.config.proximal_weight * 2.0 * (a - t) / batch.len() as f64;
+                        *g += self.config.proximal_weight * 2.0 * (a - t) / batch_size as f64;
                     }
                 }
             }
@@ -311,15 +326,15 @@ impl RiskSensitiveAgent {
         if self.buffer.is_empty() {
             return;
         }
+        let batch_size = self.config.batch_size;
         for _ in 0..steps {
-            let batch = self.buffer.sample(self.config.batch_size, rng);
             let s = &mut self.scratch;
-            s.gather(&batch);
+            s.replay(&self.buffer, batch_size, rng);
             let actions = self.actor.forward_batch(&s.obs, &mut s.workspace);
             s.grad_out.clear();
             for action in actions.chunks_exact(self.config.dim) {
                 let grad =
-                    action.iter().zip(target).map(|(a, t)| 2.0 * (a - t) / batch.len() as f64);
+                    action.iter().zip(target).map(|(a, t)| 2.0 * (a - t) / batch_size as f64);
                 s.grad_out.extend(grad);
             }
             s.grads.set_zero();

@@ -33,7 +33,6 @@ struct Scratch {
     /// activations alive until its input-gradient backward.
     workspaces: Vec<Workspace>,
     grads: Gradients,
-    inputs: Vec<f64>,
     grad_out: Vec<f64>,
     /// Base predictions, row-major `rows × ensemble_size`.
     preds: Vec<f64>,
@@ -50,7 +49,6 @@ impl Scratch {
         Self {
             workspaces: bases.iter().map(|b| Workspace::new(b, rows)).collect(),
             grads: Gradients::zeros_like(&bases[0]),
-            inputs: Vec::with_capacity(rows * input_dim),
             grad_out: Vec::with_capacity(rows),
             preds: Vec::with_capacity(rows * bases.len()),
             weights: Vec::with_capacity(rows * bases.len()),
@@ -198,32 +196,35 @@ impl EnsembleCritic {
     /// One training step: base model `i` regresses its own batch
     /// `(x̂, r̂)` with the loss `MSE(r̂, Q_i(x̂) + bias)` (Algorithm 1).
     ///
-    /// `batches` must contain one batch per base model; empty batches are
-    /// skipped. Each batch runs as one batched forward and backward pass.
+    /// `targets` holds one equally sized batch per base model, back to
+    /// back, and `inputs` their row-major input rows in the same order:
+    /// base model `i` trains on rows `i·b..(i+1)·b`. Each batch runs as
+    /// one batched forward and backward pass; empty batches train nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `batches.len() != ensemble_size()`.
-    pub fn train_batches(&mut self, batches: &[Vec<(&[f64], f64)>]) {
-        assert_eq!(batches.len(), self.bases.len(), "need one batch per base model");
+    /// Panics if `targets` does not split into `ensemble_size()` equal
+    /// batches, or `inputs` is not one row per target.
+    pub fn train_batches(&mut self, inputs: &[f64], targets: &[f64]) {
+        let rows = targets.len() / self.bases.len();
+        assert_eq!(targets.len(), rows * self.bases.len(), "need one batch per base model");
+        let input_dim = self.bases[0].input_dim();
+        assert_eq!(inputs.len(), targets.len() * input_dim, "need one input row per target");
+        if rows == 0 {
+            return;
+        }
         let s = &mut self.scratch;
         let bases = self.bases.iter_mut().zip(&mut self.optimizers).zip(&mut s.workspaces);
-        for (((base, opt), ws), batch) in bases.zip(batches) {
-            if batch.is_empty() {
-                continue;
-            }
-            s.inputs.clear();
-            for (x, _) in batch {
-                s.inputs.extend_from_slice(x);
-            }
-            let out = base.forward_batch(&s.inputs, ws);
+        let batches = inputs.chunks_exact(rows * input_dim).zip(targets.chunks_exact(rows));
+        for (((base, opt), ws), (x, r)) in bases.zip(batches) {
+            let out = base.forward_batch(x, ws);
             s.grad_out.clear();
-            for (o, (_, r)) in out.iter().zip(batch) {
+            for (o, r) in out.iter().zip(r) {
                 let pred = o + self.bias;
-                s.grad_out.push(2.0 * (pred - r) / batch.len() as f64);
+                s.grad_out.push(2.0 * (pred - r) / rows as f64);
             }
             s.grads.set_zero();
-            base.backward_batch(&s.inputs, ws, &s.grad_out, &mut s.grads);
+            base.backward_batch(x, ws, &s.grad_out, &mut s.grads);
             s.grads.clip_global_norm(10.0);
             opt.step(base, &s.grads);
         }
@@ -266,18 +267,16 @@ mod tests {
         // Target: r(x) = x0 - x1.
         let xs: Vec<Vec<f64>> = (0..50).map(|_| vec![rng.gen::<f64>(), rng.gen::<f64>()]).collect();
         let spread_before: f64 = xs.iter().map(|x| critic.predict_detail(x).1).sum::<f64>();
+        let (mut inputs, mut targets) = (Vec::new(), Vec::new());
         for _ in 0..300 {
-            let batches: Vec<Vec<(&[f64], f64)>> = (0..5)
-                .map(|_| {
-                    (0..10)
-                        .map(|_| {
-                            let i = rng.gen_range(0..xs.len());
-                            (xs[i].as_slice(), xs[i][0] - xs[i][1])
-                        })
-                        .collect()
-                })
-                .collect();
-            critic.train_batches(&batches);
+            inputs.clear();
+            targets.clear();
+            for _ in 0..5 * 10 {
+                let i = rng.gen_range(0..xs.len());
+                inputs.extend_from_slice(&xs[i]);
+                targets.push(xs[i][0] - xs[i][1]);
+            }
+            critic.train_batches(&inputs, &targets);
         }
         let mut max_err = 0.0f64;
         let mut spread_after = 0.0;
@@ -355,6 +354,7 @@ mod tests {
     #[should_panic(expected = "one batch per base model")]
     fn wrong_batch_count_panics() {
         let mut critic = small_critic(7, 3, -1.0);
-        critic.train_batches(&[]);
+        // Two one-row batches for three base models.
+        critic.train_batches(&[0.5; 4], &[0.0; 2]);
     }
 }

@@ -35,18 +35,22 @@ impl WorstCaseReplayBuffer {
         self.designs.is_empty()
     }
 
-    /// Samples `batch` pairs with replacement; returns `(designs, rewards)`
-    /// views. Empty when the buffer is empty.
-    pub fn sample<R: Rng + ?Sized>(&self, batch: usize, rng: &mut R) -> Vec<(&[f64], f64)> {
+    /// Samples `batch` pairs with replacement, handing each
+    /// `(design, worst reward)` to `f` in draw order. Draws nothing when the
+    /// buffer is empty.
+    pub fn sample_each<R: Rng + ?Sized>(
+        &self,
+        batch: usize,
+        rng: &mut R,
+        mut f: impl FnMut(&[f64], f64),
+    ) {
         if self.is_empty() {
-            return Vec::new();
+            return;
         }
-        (0..batch)
-            .map(|_| {
-                let i = rng.gen_range(0..self.designs.len());
-                (self.designs[i].as_slice(), self.rewards[i])
-            })
-            .collect()
+        for _ in 0..batch {
+            let i = rng.gen_range(0..self.designs.len());
+            f(&self.designs[i], self.rewards[i]);
+        }
     }
 
     /// The stored entry with the highest worst-case reward, if any.
@@ -143,16 +147,20 @@ mod tests {
         buf.push(vec![0.3, 0.4], 0.2);
         assert_eq!(buf.len(), 2);
         let mut rng = seeded(1);
-        let batch = buf.sample(10, &mut rng);
+        let mut batch = Vec::new();
+        buf.sample_each(10, &mut rng, |x, r| batch.push((x.to_vec(), r)));
         assert_eq!(batch.len(), 10);
-        assert!(batch.iter().all(|(x, _)| x.len() == 2));
+        assert!(batch.iter().all(|(x, r)| x.len() == 2 && (*r == -1.0 || *r == 0.2)));
     }
 
     #[test]
     fn empty_sample_is_empty() {
         let buf = WorstCaseReplayBuffer::new();
         let mut rng = seeded(2);
-        assert!(buf.sample(5, &mut rng).is_empty());
+        let mut drawn = 0;
+        buf.sample_each(5, &mut rng, |_, _| drawn += 1);
+        assert_eq!(drawn, 0);
+        assert_eq!(rng, seeded(2), "an empty buffer draws no randomness");
         assert!(buf.best().is_none());
     }
 

@@ -11,7 +11,9 @@ use std::f64::consts::PI;
 /// A standard-normal `N(0, 1)` sampler.
 ///
 /// Interior mutability caches the spare Box–Muller deviate, so sampling is
-/// one `ln`/`sqrt`/`cos` per *pair* of draws on average.
+/// one `ln`/`sqrt`/`cos` per *pair* of draws on average. The spare is part
+/// of the stream: a clone carries it, so the clone and the original draw
+/// the same deviates from equal generators.
 ///
 /// # Example
 ///
@@ -22,17 +24,9 @@ use std::f64::consts::PI;
 /// let x = normal.sample(&mut rng);
 /// assert!(x.is_finite());
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct StandardNormal {
     spare: Cell<Option<f64>>,
-}
-
-impl Clone for StandardNormal {
-    fn clone(&self) -> Self {
-        // The spare deviate is a per-instance cache, not distributional
-        // state; a clone starts with an empty cache.
-        Self::new()
-    }
 }
 
 impl StandardNormal {
@@ -124,6 +118,18 @@ mod tests {
     use super::*;
     use crate::descriptive::RunningStats;
     use crate::rng::seeded;
+
+    #[test]
+    fn clone_carries_the_pending_spare() {
+        let normal = StandardNormal::new();
+        let mut rng = seeded(3);
+        normal.sample(&mut rng); // leaves the pair's spare pending
+        let clone = normal.clone();
+        let mut rng_clone = rng.clone();
+        for _ in 0..5 {
+            assert_eq!(normal.sample(&mut rng).to_bits(), clone.sample(&mut rng_clone).to_bits());
+        }
+    }
 
     #[test]
     fn moments_match_standard_normal() {

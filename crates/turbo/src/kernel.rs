@@ -41,26 +41,45 @@ impl Matern52 {
         &self.lengthscales
     }
 
-    /// Evaluates `k(a, b)`.
+    /// Evaluates `k(a, b)`: a block of one through the blocked evaluation
+    /// the GP's kernel fill and posterior pass run on.
     ///
     /// # Panics
     ///
     /// Panics if input dimensions differ from the kernel's.
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), self.lengthscales.len(), "kernel input dimension mismatch");
-        assert_eq!(b.len(), self.lengthscales.len(), "kernel input dimension mismatch");
-        let r2: f64 = a
-            .iter()
-            .zip(b)
-            .zip(&self.lengthscales)
-            .map(|((&x, &y), &l)| {
-                let d = (x - y) / l;
-                d * d
-            })
-            .sum();
-        let r = r2.sqrt();
-        let sqrt5_r = 5.0f64.sqrt() * r;
-        self.signal_variance * (1.0 + sqrt5_r + 5.0 * r2 / 3.0) * (-sqrt5_r).exp()
+        self.eval_block(a, [b])[0]
+    }
+
+    /// Evaluates `k(a, b_c)` for `W` points `b_c` at once.
+    ///
+    /// Each pair keeps the scalar order of operations — `r²` sums
+    /// `((a_d − b_d)/ℓ_d)²` over `d` ascending, starting from `−0.0` as
+    /// `Iterator::sum` does — so every lane is bitwise `eval(a, b_c)`;
+    /// the `W` chains interleave. `k(a, b)` and `k(b, a)` have the same
+    /// bits, since `a_d − b_d` and `b_d − a_d` differ only in sign.
+    ///
+    /// # Panics
+    ///
+    /// Panics if input dimensions differ from the kernel's.
+    pub(crate) fn eval_block<const W: usize>(&self, a: &[f64], b: [&[f64]; W]) -> [f64; W] {
+        let dim = self.lengthscales.len();
+        assert_eq!(a.len(), dim, "kernel input dimension mismatch");
+        for b in &b {
+            assert_eq!(b.len(), dim, "kernel input dimension mismatch");
+        }
+        let mut r2 = [-0.0; W];
+        for (d, (&x, &l)) in a.iter().zip(&self.lengthscales).enumerate() {
+            for c in 0..W {
+                let t = (x - b[c][d]) / l;
+                r2[c] += t * t;
+            }
+        }
+        r2.map(|r2| {
+            let r = r2.sqrt();
+            let sqrt5_r = 5.0f64.sqrt() * r;
+            self.signal_variance * (1.0 + sqrt5_r + 5.0 * r2 / 3.0) * (-sqrt5_r).exp()
+        })
     }
 }
 
@@ -102,6 +121,35 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_block_is_bitwise_eval(
+            points in proptest::collection::vec(0.0f64..1.0, 5 * 14),
+            ls in proptest::collection::vec(0.05f64..2.0, 14),
+        ) {
+            for dim in [1, 3, 14] {
+                let k = Matern52::new(1.3, ls[..dim].to_vec());
+                let p: Vec<&[f64]> = points.chunks_exact(14).map(|p| &p[..dim]).collect();
+                let block = k.eval_block(p[0], [p[1], p[2], p[3], p[4]]);
+                for c in 0..4 {
+                    // The scalar formula, as an iterator sum.
+                    let r2: f64 = p[0]
+                        .iter()
+                        .zip(p[c + 1])
+                        .zip(&ls[..dim])
+                        .map(|((&x, &y), &l)| {
+                            let d = (x - y) / l;
+                            d * d
+                        })
+                        .sum();
+                    let sqrt5_r = 5.0f64.sqrt() * r2.sqrt();
+                    let scalar = 1.3 * (1.0 + sqrt5_r + 5.0 * r2 / 3.0) * (-sqrt5_r).exp();
+                    prop_assert_eq!(block[c].to_bits(), k.eval(p[0], p[c + 1]).to_bits());
+                    prop_assert_eq!(block[c].to_bits(), scalar.to_bits());
+                    prop_assert_eq!(block[c].to_bits(), k.eval(p[c + 1], p[0]).to_bits());
+                }
+            }
+        }
+
         #[test]
         fn prop_symmetric_and_bounded(
             a in proptest::collection::vec(0.0f64..1.0, 3),

@@ -14,6 +14,8 @@
 //! - the success/failure trust-region resizing schedule
 //!   ([`trust_region`]), and
 //! - Thompson-sampling candidate selection inside the trust-region box.
+//!   The box is isotropic: every side gets the region's base length,
+//!   where TuRBO-1 scales each side by the GP's ARD lengthscales.
 //!
 //! # Example
 //!

@@ -122,41 +122,56 @@ impl Turbo {
 
         // Fit the surrogate on the (most recent) history window.
         let window = self.history_window();
-        let xs: Vec<Vec<f64>> = window.iter().map(|&i| self.xs[i].clone()).collect();
+        let xs: Vec<&[f64]> = window.iter().map(|&i| self.xs[i].as_slice()).collect();
         let ys: Vec<f64> = window.iter().map(|&i| self.ys[i]).collect();
         let gp = GaussianProcess::fit_auto(&xs, &ys, rng);
 
-        // Candidate box around the incumbent, shaped by ARD lengthscales.
-        let center = self.xs[best_idx].clone();
-        let lengthscales = vec![1.0; self.config.dim]; // shaped below via GP refit? keep simple
-        let bounds = self.trust_region.bounds_around(&center, &lengthscales);
+        // Candidate box around the incumbent. Every side gets the base
+        // length: the box is isotropic, where TuRBO-1 shapes each side by
+        // the fitted GP's ARD lengthscales.
+        let dim = self.config.dim;
+        let center = self.xs[best_idx].as_slice();
+        let bounds = self.trust_region.bounds_around(center, &vec![1.0; dim]);
 
         // Perturbation candidates: each candidate perturbs a random subset
         // of coordinates within the box (TuRBO's sobol+mask scheme,
-        // approximated with uniform draws).
-        let p_perturb = (20.0 / self.config.dim as f64).min(1.0);
-        let mut best_candidate = center.clone();
-        let mut best_value = f64::NEG_INFINITY;
-        for _ in 0..self.config.n_candidates {
-            let mut cand = center.clone();
+        // approximated with uniform draws), then draws its Thompson
+        // deviate. All candidates are scored in one batched posterior pass.
+        let p_perturb = (20.0 / dim as f64).min(1.0);
+        let n_candidates = self.config.n_candidates;
+        let mut candidates = Vec::with_capacity(n_candidates * dim);
+        let mut z = Vec::with_capacity(n_candidates);
+        for _ in 0..n_candidates {
+            let start = candidates.len();
+            candidates.extend_from_slice(center);
+            let cand = &mut candidates[start..];
             let mut any = false;
-            for d in 0..self.config.dim {
+            for d in 0..dim {
                 if rng.gen::<f64>() < p_perturb {
                     cand[d] = rng.gen_range(bounds[d].0..=bounds[d].1);
                     any = true;
                 }
             }
             if !any {
-                let d = rng.gen_range(0..self.config.dim);
+                let d = rng.gen_range(0..dim);
                 cand[d] = rng.gen_range(bounds[d].0..=bounds[d].1);
             }
-            let value = gp.thompson_sample(&cand, &self.normal, rng);
+            z.push(self.normal.sample(rng));
+        }
+        let values = gp.thompson_values(&candidates, &z);
+
+        // The first strictly highest value wins; with every value NaN (or
+        // −∞) the incumbent itself is returned.
+        let mut best: Option<usize> = None;
+        let mut best_value = f64::NEG_INFINITY;
+        for (c, &value) in values.iter().enumerate() {
             if value > best_value {
                 best_value = value;
-                best_candidate = cand;
+                best = Some(c);
             }
         }
-        best_candidate
+        let best = best.map_or(center, |c| &candidates[c * dim..(c + 1) * dim]);
+        best.to_vec()
     }
 
     /// Reports the objective value of a previously asked point.
@@ -290,6 +305,32 @@ mod tests {
         let (x, y) = turbo.best().unwrap();
         assert_eq!(y, 3.0);
         assert_eq!(x, &[0.2, 0.2]);
+    }
+
+    #[test]
+    fn clone_mid_run_asks_like_the_original() {
+        let f = |x: &[f64]| -x.iter().map(|v| (v - 0.4) * (v - 0.4)).sum::<f64>();
+        let mut rng = seeded(8);
+        let mut turbo = Turbo::new(TurboConfig::new(3), &mut rng);
+        for _ in 0..10 {
+            let x = turbo.ask(&mut rng);
+            let y = f(&x);
+            turbo.tell(x, y);
+        }
+        // Every ask draws an even number of deviates; one more leaves a
+        // Box–Muller spare pending, which the clone must carry.
+        turbo.normal.sample(&mut rng);
+        let mut clone = turbo.clone();
+        let mut clone_rng = rng.clone();
+        for _ in 0..4 {
+            let x = turbo.ask(&mut rng);
+            let x_clone = clone.ask(&mut clone_rng);
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x), bits(&x_clone));
+            let y = f(&x);
+            turbo.tell(x, y);
+            clone.tell(x_clone, y);
+        }
     }
 
     #[test]
